@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"mtpa/internal/ir"
 	"mtpa/internal/locset"
@@ -34,7 +35,8 @@ type CanonLoc struct {
 }
 
 func (l CanonLoc) String() string {
-	return fmt.Sprintf("%s|%d|%d|%t", l.Block, l.Offset, l.Stride, l.Pointer)
+	return l.Block + "|" + strconv.FormatInt(l.Offset, 10) + "|" +
+		strconv.FormatInt(l.Stride, 10) + "|" + strconv.FormatBool(l.Pointer)
 }
 
 // CanonEdge is one points-to edge between canonically named location sets.
@@ -74,6 +76,13 @@ type canonizer struct {
 	occ     map[occKey]int
 	scanned int
 
+	// rendered caches renderLoc per location set and resolved caches
+	// resolveLoc per canonical location. Both are dropped whenever a
+	// block key turns ambiguous; entries whose sticky pointer flag has
+	// since changed are recomputed.
+	rendered map[locset.ID]*renderedLoc
+	resolved map[CanonLoc]locset.ID
+
 	sitesByPos map[string]int // "line:col" → allocation site index
 	strIndex   map[string]int // canonical string key → StringLits index
 
@@ -98,11 +107,12 @@ type accOrdKey struct {
 }
 
 func newCanonizer(prog *ir.Program) *canonizer {
+	nblocks := len(prog.Table.Blocks())
 	c := &canonizer{
 		prog:       prog,
 		tab:        prog.Table,
-		keys:       map[*locset.Block]string{},
-		resolve:    map[string]*locset.Block{},
+		keys:       make(map[*locset.Block]string, nblocks),
+		resolve:    make(map[string]*locset.Block, nblocks),
 		ambig:      map[string]bool{},
 		occ:        map[occKey]int{},
 		sitesByPos: map[string]int{},
@@ -155,6 +165,7 @@ func (c *canonizer) extend() {
 		if _, dup := c.resolve[key]; dup {
 			c.ambig[key] = true
 			delete(c.resolve, key)
+			c.rendered, c.resolved = nil, nil
 		} else if !c.ambig[key] {
 			c.resolve[key] = b
 		}
@@ -259,7 +270,7 @@ func (c *canonizer) resolveBlock(key string) (*locset.Block, bool) {
 			site, ok := c.sitesByPos[parts[1]+":"+parts[2]]
 			if ok && site >= 0 {
 				s := c.prog.Info.AllocSites[site]
-				c.tab.HeapBlock(site, s.SiteType, fmt.Sprintf("%d:%d", s.AllocPos.Line, s.AllocPos.Col))
+				c.tab.HeapBlock(site, c.prog.SiteTypes[site], fmt.Sprintf("%d:%d", s.AllocPos.Line, s.AllocPos.Col))
 			}
 		}
 	case strings.HasPrefix(key, "s:"):
@@ -284,48 +295,95 @@ func (c *canonizer) encodeLoc(id locset.ID) (CanonLoc, bool) {
 }
 
 func (c *canonizer) resolveLoc(l CanonLoc) (locset.ID, bool) {
+	c.extend()
+	if id, ok := c.resolved[l]; ok && (!l.Pointer || c.tab.Get(id).Pointer) {
+		return id, true
+	}
 	b, ok := c.resolveBlock(l.Block)
 	if !ok {
 		return 0, false
 	}
-	return c.tab.Intern(b, l.Offset, l.Stride, l.Pointer), true
+	id := c.tab.Intern(b, l.Offset, l.Stride, l.Pointer)
+	if c.resolved == nil {
+		c.resolved = map[CanonLoc]locset.ID{}
+	}
+	c.resolved[l] = id
+	return id, true
+}
+
+type renderedLoc struct {
+	l CanonLoc
+	s string // l.String()
+}
+
+// renderLoc is encodeLoc plus the CanonLoc.String rendering, memoized.
+func (c *canonizer) renderLoc(id locset.ID) (*renderedLoc, bool) {
+	c.extend()
+	if r := c.rendered[id]; r != nil && r.l.Pointer == c.tab.Get(id).Pointer {
+		return r, true
+	}
+	l, ok := c.encodeLoc(id)
+	if !ok {
+		return nil, false
+	}
+	if c.rendered == nil {
+		c.rendered = map[locset.ID]*renderedLoc{}
+	}
+	r := &renderedLoc{l, l.String()}
+	c.rendered[id] = r
+	return r, true
 }
 
 // encodeGraph renders a points-to graph as its canonically sorted edge
 // list.
 func (c *canonizer) encodeGraph(g *ptgraph.Graph) ([]CanonEdge, bool) {
-	var edges []CanonEdge
+	rs, ok := c.renderGraph(g)
+	if !ok || len(rs) == 0 {
+		return nil, ok
+	}
+	edges := make([]CanonEdge, len(rs))
+	for i, r := range rs {
+		edges[i] = CanonEdge{Src: r.src.l, Dst: r.dst.l}
+	}
+	return edges, true
+}
+
+// renderedEdge is a canonical edge with both endpoints rendered.
+type renderedEdge struct{ src, dst *renderedLoc }
+
+// renderGraph encodes g's edges and sorts them by their rendered
+// (Src, Dst) strings.
+func (c *canonizer) renderGraph(g *ptgraph.Graph) ([]renderedEdge, bool) {
+	rs := make([]renderedEdge, 0, g.Len())
 	ok := true
-	g.ForEachOrdered(func(src locset.ID, dsts ptgraph.Set) {
-		cs, sok := c.encodeLoc(src)
+	g.ForEach(func(src locset.ID, dsts ptgraph.Set) {
+		if !ok {
+			return
+		}
+		rsrc, sok := c.renderLoc(src)
 		if !sok {
 			ok = false
 			return
 		}
 		for _, d := range dsts.IDs() {
-			cd, dok := c.encodeLoc(d)
+			rdst, dok := c.renderLoc(d)
 			if !dok {
 				ok = false
 				return
 			}
-			edges = append(edges, CanonEdge{Src: cs, Dst: cd})
+			rs = append(rs, renderedEdge{rsrc, rdst})
 		}
 	})
 	if !ok {
 		return nil, false
 	}
-	sortEdges(edges)
-	return edges, true
-}
-
-func sortEdges(edges []CanonEdge) {
-	sort.Slice(edges, func(i, j int) bool {
-		si, sj := edges[i].Src.String(), edges[j].Src.String()
-		if si != sj {
-			return si < sj
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].src.s != rs[j].src.s {
+			return rs[i].src.s < rs[j].src.s
 		}
-		return edges[i].Dst.String() < edges[j].Dst.String()
+		return rs[i].dst.s < rs[j].dst.s
 	})
+	return rs, true
 }
 
 // resolveGraph rebuilds a graph from canonical edges in their sorted
@@ -333,10 +391,17 @@ func sortEdges(edges []CanonEdge) {
 // IDs.
 func (c *canonizer) resolveGraph(edges []CanonEdge) (*ptgraph.Graph, bool) {
 	var b ptgraph.GraphBuilder
-	for _, e := range edges {
-		src, sok := c.resolveLoc(e.Src)
-		dst, dok := c.resolveLoc(e.Dst)
-		if !sok || !dok {
+	var src locset.ID
+	for i, e := range edges {
+		// Edges come sorted by source: resolve each source once.
+		if i == 0 || e.Src != edges[i-1].Src {
+			var ok bool
+			if src, ok = c.resolveLoc(e.Src); !ok {
+				return nil, false
+			}
+		}
+		dst, ok := c.resolveLoc(e.Dst)
+		if !ok {
 			return nil, false
 		}
 		b.Add(src, dst)
@@ -397,11 +462,11 @@ func (c *canonizer) resolveGhosts(entries []CanonGhost) (map[*locset.Block][]*lo
 // ctxKey hashes a context's canonically rendered inputs into its
 // table-independent identity.
 func (c *canonizer) ctxKey(fn *ir.Func, Cp, Ip *ptgraph.Graph, ghostSrc map[*locset.Block][]*locset.Block) (string, bool) {
-	cp, ok := c.encodeGraph(Cp)
+	cp, ok := c.renderGraph(Cp)
 	if !ok {
 		return "", false
 	}
-	ip, ok := c.encodeGraph(Ip)
+	ip, ok := c.renderGraph(Ip)
 	if !ok {
 		return "", false
 	}
@@ -411,13 +476,16 @@ func (c *canonizer) ctxKey(fn *ir.Func, Cp, Ip *ptgraph.Graph, ghostSrc map[*loc
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "fn\x00%s\x00C", fn.Name)
-	for _, e := range cp {
-		fmt.Fprintf(h, "\x00%s>%s", e.Src, e.Dst)
+	var buf []byte
+	writeEdges := func(rs []renderedEdge) {
+		for _, e := range rs {
+			buf = append(append(append(append(buf[:0], 0), e.src.s...), '>'), e.dst.s...)
+			h.Write(buf)
+		}
 	}
+	writeEdges(cp)
 	h.Write([]byte("\x00I"))
-	for _, e := range ip {
-		fmt.Fprintf(h, "\x00%s>%s", e.Src, e.Dst)
-	}
+	writeEdges(ip)
 	h.Write([]byte("\x00G"))
 	for _, g := range ghosts {
 		fmt.Fprintf(h, "\x00%s=%s", g.Ghost, strings.Join(g.Srcs, ","))
@@ -429,7 +497,13 @@ func (c *canonizer) ctxKey(fn *ir.Func, Cp, Ip *ptgraph.Graph, ghostSrc map[*loc
 // first use.
 func (c *canonizer) encodeInstr(in *ir.Instr) (InstrRef, bool) {
 	if c.instrRef == nil {
-		c.instrRef = map[*ir.Instr]InstrRef{}
+		n := 0
+		for _, fn := range c.prog.Funcs {
+			for _, node := range fn.AllNodes {
+				n += len(node.Instrs)
+			}
+		}
+		c.instrRef = make(map[*ir.Instr]InstrRef, n)
 		for _, fn := range c.prog.Funcs {
 			for ni, n := range fn.AllNodes {
 				for ii, instr := range n.Instrs {
@@ -462,22 +536,57 @@ func (c *canonizer) resolveNode(fnName string, nodeID int) (*ir.Node, bool) {
 	return fn.AllNodes[nodeID], true
 }
 
-// BlockFootprint returns the sorted canonical keys of the global,
-// private-global and string-literal blocks referenced by fn's IR
-// operands. The session folds this footprint into a procedure's
-// dependency hash: it pins down which extern-owned blocks the procedure's
-// lowered form names (and with which kind, type and literal occurrence),
-// so an edit that re-identifies any of them — a type change, a `private`
-// flip, a same-content literal shifting its occurrence index — changes
-// the hash and invalidates exactly the procedures that can observe it.
-func BlockFootprint(prog *ir.Program, fn *ir.Func) []string {
+// BlockFootprints returns, per procedure name, the sorted canonical keys
+// of the global, private-global and string-literal blocks referenced by
+// the procedure's IR operands. The session folds a procedure's footprint
+// into its dependency hash: it pins down which extern-owned blocks the
+// procedure's lowered form names (and with which kind, type and literal
+// occurrence), so an edit that re-identifies any of them — a type change,
+// a `private` flip, a same-content literal shifting its occurrence index —
+// changes the hash and invalidates exactly the procedures that can
+// observe it. One canonizer serves every procedure, so each block's key
+// is derived once.
+func BlockFootprints(prog *ir.Program) map[string][]string {
 	c := newCanonizer(prog)
+	out := make(map[string][]string, len(prog.Funcs))
+	for _, fn := range prog.Funcs {
+		out[fn.Name] = c.footprint(fn)
+	}
+	handoff.Lock()
+	handoff.prog, handoff.c = prog, c
+	handoff.Unlock()
+	return out
+}
+
+// handoff passes the canonizer BlockFootprints built on to the analysis
+// run of the same program, so a session update derives each block key
+// once. It holds one canonizer at a time, and taking it removes it, so a
+// canonizer never has two users.
+var handoff struct {
+	sync.Mutex
+	prog *ir.Program
+	c    *canonizer
+}
+
+// takeCanonizer returns the handed-off canonizer of prog, or nil.
+func takeCanonizer(prog *ir.Program) *canonizer {
+	handoff.Lock()
+	defer handoff.Unlock()
+	if handoff.prog != prog {
+		return nil
+	}
+	c := handoff.c
+	handoff.prog, handoff.c = nil, nil
+	return c
+}
+
+func (c *canonizer) footprint(fn *ir.Func) []string {
 	seen := map[string]bool{}
 	addID := func(id locset.ID) {
 		if id == ir.NoLoc || id == locset.UnkID {
 			return
 		}
-		b := prog.Table.Get(id).Block
+		b := c.prog.Table.Get(id).Block
 		switch b.Kind {
 		case locset.KindGlobal, locset.KindPrivateGlobal, locset.KindString:
 			if key, ok := c.encodeBlock(b); ok {

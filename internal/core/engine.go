@@ -348,10 +348,13 @@ type Analysis struct {
 
 	// Summary seeding (seed.go). seeder is nil on plain Analyze runs; cn is
 	// the lazily built canonical encoder; seedByKey indexes seeded and
-	// harvested contexts by canonical key for the metrics-pass demand walk.
+	// harvested contexts by canonical key for the metrics-pass demand walk;
+	// seedClosed records keys whose callee closure the seeder holds in
+	// full (calleesSeedable).
 	seeder       Seeder
 	cn           *canonizer
 	seedByKey    map[string]*ctxEntry
+	seedClosed   map[string]bool
 	seedHits     int
 	seedMisses   int
 	seedHitsByFn map[string]int

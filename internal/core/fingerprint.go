@@ -34,7 +34,7 @@ func (r *Result) Fingerprint() string {
 
 	writeGraph := func(tag string, g *ptgraph.Graph) {
 		var edges []string
-		g.ForEachOrdered(func(src locset.ID, dsts ptgraph.Set) {
+		g.ForEach(func(src locset.ID, dsts ptgraph.Set) {
 			for _, d := range dsts.IDs() {
 				edges = append(edges, tab.String(src)+"->"+tab.String(d))
 			}

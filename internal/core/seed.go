@@ -81,8 +81,10 @@ type SummaryPar struct {
 // on every newly created context; LookupKey materialises contexts a
 // seeded caller demands. Implementations must return summaries only when
 // they are valid for the current program (the session checks the
-// procedure's dependency hash); the engine additionally rejects any
-// summary that does not resolve cleanly into the current table.
+// procedure's dependency hash), and must give the same answer for a key
+// throughout one run; the engine additionally rejects any summary that
+// does not resolve cleanly into the current table, or whose callee
+// closure the seeder does not hold in full.
 type Seeder interface {
 	Lookup(fn, key string) *Summary
 	LookupKey(key string) *Summary
@@ -158,10 +160,13 @@ func (r *Result) SeedStats() SeedStats {
 	return SeedStats{Hits: a.seedHits, Misses: a.seedMisses, HitsByFunc: a.seedHitsByFn}
 }
 
-// canon returns the run's lazily created canonizer.
+// canon returns the run's lazily created canonizer, taking over the one
+// BlockFootprints built for the same program when there is one.
 func (a *Analysis) canon() *canonizer {
 	if a.cn == nil {
-		a.cn = newCanonizer(a.prog)
+		if a.cn = takeCanonizer(a.prog); a.cn == nil {
+			a.cn = newCanonizer(a.prog)
+		}
 	}
 	return a.cn
 }
@@ -183,7 +188,7 @@ func (a *Analysis) trySeed(e *ctxEntry) {
 	}
 	e.canonKey = key
 	sum := a.seeder.Lookup(e.fn.Name, key)
-	if sum == nil {
+	if sum == nil || !a.calleesSeedable(sum) {
 		a.seedMisses++
 		return
 	}
@@ -226,6 +231,42 @@ func (a *Analysis) trySeed(e *ctxEntry) {
 			a.warnings = append(a.warnings, w.Text)
 		}
 	}
+}
+
+// calleesSeedable reports whether the seeder holds a summary for every
+// context key in sum's callee closure. A seeded context's metrics walk
+// demands those keys (applySeed); one the seeder lacks would be skipped,
+// and with it that context's measurements unless some other solve
+// happens to demand it — so a summary whose closure is incomplete is
+// taken as a miss and its context solved. The check only reads the
+// seeder, so it interns nothing into the table.
+func (a *Analysis) calleesSeedable(sum *Summary) bool {
+	seen := map[string]bool{}
+	var walk func(sum *Summary) bool
+	walk = func(sum *Summary) bool {
+		for _, key := range sum.Callees {
+			if a.seedByKey[key] != nil || a.seedClosed[key] || seen[key] {
+				continue
+			}
+			seen[key] = true
+			cs := a.seeder.LookupKey(key)
+			if cs == nil || a.canon().fnByName[cs.Fn] == nil || !walk(cs) {
+				return false
+			}
+		}
+		return true
+	}
+	if !walk(sum) {
+		return false
+	}
+	// Every key reached is now known to have a complete closure.
+	if a.seedClosed == nil {
+		a.seedClosed = map[string]bool{}
+	}
+	for key := range seen {
+		a.seedClosed[key] = true
+	}
+	return true
 }
 
 // resolveSummary resolves a summary's measurements into the current

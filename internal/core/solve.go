@@ -165,8 +165,7 @@ func (x *exec) heapBlock(in *ir.Instr) *locset.Block {
 		}
 		return b
 	}
-	site := x.a.prog.Info.AllocSites[in.Site]
-	return x.a.tab.HeapBlock(in.Site, site.SiteType, "")
+	return x.a.tab.HeapBlock(in.Site, x.a.prog.SiteTypes[in.Site], "")
 }
 
 func (x *exec) ghost(idx int, summary bool) *locset.Block {

@@ -65,42 +65,13 @@ func (t *Triple) Merge(other *Triple) bool {
 // perspective — when C has no edges for it, that prior value is the
 // initial unk.
 func addCreatedC(dst, created *ptgraph.Graph) bool {
-	var needUnk []locset.ID
-	for _, s := range created.Sources() {
-		if dst.OutDegree(s) == 0 {
-			needUnk = append(needUnk, s)
-		}
-	}
-	changed := dst.Union(created)
-	for _, s := range needUnk {
-		if dst.Add(s, locset.UnkID) {
-			changed = true
-		}
-	}
-	return changed
+	return dst.UnionPath(created, false)
 }
 
 // unionPathC merges two path states' points-to graphs: the edge union plus
 // unk-completion for location sets written on exactly one side.
 func unionPathC(dst, src *ptgraph.Graph) bool {
-	var needUnk []locset.ID
-	for _, s := range src.Sources() {
-		if dst.OutDegree(s) == 0 {
-			needUnk = append(needUnk, s)
-		}
-	}
-	for _, s := range dst.Sources() {
-		if src.OutDegree(s) == 0 {
-			needUnk = append(needUnk, s)
-		}
-	}
-	changed := dst.Union(src)
-	for _, s := range needUnk {
-		if dst.Add(s, locset.UnkID) {
-			changed = true
-		}
-	}
-	return changed
+	return dst.UnionPath(src, true)
 }
 
 // Equal reports component-wise equality.

@@ -69,19 +69,25 @@ func (a *analyzer) add(src, dst locset.ID) {
 	}
 }
 
+// unkSet is the canonical {unk}.
+var unkSet = ptgraph.NewSet(locset.UnkID)
+
+// derefID is deref of the single location set x.
+func (a *analyzer) derefID(x locset.ID) ptgraph.Set {
+	if x == locset.UnkID {
+		return unkSet
+	}
+	if succ := a.g.Succs(x); !succ.IsEmpty() {
+		return succ
+	}
+	return unkSet
+}
+
 // deref applies the unk backstop of the core analysis so the two engines
 // agree on uninitialised pointers.
 func (a *analyzer) deref(s ptgraph.Set) ptgraph.Set {
 	if s.Len() == 1 {
-		x := s.IDs()[0]
-		if x == locset.UnkID {
-			return s
-		}
-		succ := a.g.Succs(x)
-		if succ.IsEmpty() {
-			return ptgraph.NewSet(locset.UnkID)
-		}
-		return succ
+		return a.derefID(s.IDs()[0])
 	}
 	var b ptgraph.SetBuilder
 	for _, x := range s.IDs() {
@@ -113,28 +119,27 @@ func (a *analyzer) apply(in *ir.Instr) {
 	case ir.OpAddrOf:
 		a.add(in.Dst, in.Src)
 	case ir.OpCopy:
-		a.copyInto(in.Dst, a.deref(ptgraph.NewSet(in.Src)))
+		a.copyInto(in.Dst, a.derefID(in.Src))
 	case ir.OpLoad:
-		a.copyInto(in.Dst, a.deref(a.deref(ptgraph.NewSet(in.Src))))
+		a.copyInto(in.Dst, a.deref(a.derefID(in.Src)))
 	case ir.OpStore:
-		vals := a.deref(ptgraph.NewSet(in.Src))
-		for _, z := range a.deref(ptgraph.NewSet(in.Dst)).IDs() {
+		vals := a.derefID(in.Src)
+		for _, z := range a.derefID(in.Dst).IDs() {
 			if z == locset.UnkID {
 				continue
 			}
 			a.copyInto(z, vals)
 		}
 	case ir.OpArith, ir.OpIndexAddr:
-		for _, l := range a.deref(ptgraph.NewSet(in.Src)).IDs() {
+		for _, l := range a.derefID(in.Src).IDs() {
 			a.add(in.Dst, a.tab.Bump(l, in.Elem))
 		}
 	case ir.OpField:
-		for _, l := range a.deref(ptgraph.NewSet(in.Src)).IDs() {
+		for _, l := range a.derefID(in.Src).IDs() {
 			a.add(in.Dst, a.tab.Elem(l, in.Elem, in.PtrTarget))
 		}
 	case ir.OpAlloc:
-		site := a.prog.Info.AllocSites[in.Site]
-		hb := a.tab.HeapBlock(in.Site, site.SiteType, "")
+		hb := a.tab.HeapBlock(in.Site, a.prog.SiteTypes[in.Site], "")
 		a.add(in.Dst, a.tab.Intern(hb, 0, 0, in.PtrTarget))
 	case ir.OpNull, ir.OpUnknown:
 		a.add(in.Dst, locset.UnkID)
@@ -148,7 +153,7 @@ func (a *analyzer) applyCall(call *ir.Call) {
 		switch call.Builtin {
 		case sem.BuiltinMemset, sem.BuiltinStrcpy, sem.BuiltinMemcpy:
 			if call.Ret != ir.NoLoc && len(call.Args) > 0 && call.Args[0] != ir.NoLoc {
-				a.copyInto(call.Ret, a.deref(ptgraph.NewSet(call.Args[0])))
+				a.copyInto(call.Ret, a.derefID(call.Args[0]))
 			}
 		default:
 			if call.Ret != ir.NoLoc {
@@ -163,7 +168,7 @@ func (a *analyzer) applyCall(call *ir.Call) {
 			targets = append(targets, fn)
 		}
 	} else if call.FnLoc != ir.NoLoc {
-		for _, l := range a.deref(ptgraph.NewSet(call.FnLoc)).IDs() {
+		for _, l := range a.derefID(call.FnLoc).IDs() {
 			if l == locset.UnkID {
 				continue
 			}
@@ -180,10 +185,10 @@ func (a *analyzer) applyCall(call *ir.Call) {
 			if arg == ir.NoLoc || i >= len(fn.ParamLocs) {
 				continue
 			}
-			a.copyInto(fn.ParamLocs[i], a.deref(ptgraph.NewSet(arg)))
+			a.copyInto(fn.ParamLocs[i], a.derefID(arg))
 		}
 		if call.Ret != ir.NoLoc && fn.RetLoc != ir.NoLoc {
-			a.copyInto(call.Ret, a.deref(ptgraph.NewSet(fn.RetLoc)))
+			a.copyInto(call.Ret, a.derefID(fn.RetLoc))
 		}
 	}
 	if len(targets) == 0 && call.Ret != ir.NoLoc {
@@ -206,7 +211,7 @@ func (r *Result) AccessCount(prog *ir.Program, acc ir.Access) (int, bool) {
 	default:
 		return 0, false
 	}
-	locs := a.deref(ptgraph.NewSet(ptr))
+	locs := a.derefID(ptr)
 	n := locs.Len()
 	uninit := locs.Has(locset.UnkID)
 	if uninit {

@@ -19,6 +19,7 @@ import (
 	"mtpa/internal/locset"
 	"mtpa/internal/sem"
 	"mtpa/internal/token"
+	"mtpa/internal/types"
 )
 
 // NoLoc marks an absent location-set operand.
@@ -284,6 +285,12 @@ type Program struct {
 	Funcs  []*Func
 	ByDecl map[*ast.FuncDecl]*Func
 	Main   *Func
+
+	// SiteTypes holds each allocation site's element type, indexed by
+	// site ID, copied from the AST when lowering. Analyses read it here:
+	// a session shares cached procedure ASTs between updates, and every
+	// later semantic check rewrites the AST node's own SiteType field.
+	SiteTypes []*types.Type
 
 	// Accesses lists the pointer-dereferencing load/store instructions in
 	// AccID order, with their owning function.

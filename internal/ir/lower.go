@@ -24,6 +24,10 @@ func Lower(info *sem.Info) (*Program, error) {
 		ByDecl: map[*ast.FuncDecl]*Func{},
 	}
 	lo := &lowerer{prog: prog, tab: prog.Table, info: info}
+	prog.SiteTypes = make([]*types.Type, len(info.AllocSites))
+	for i, site := range info.AllocSites {
+		prog.SiteTypes[i] = site.SiteType
+	}
 
 	// Create function shells first so calls can reference them.
 	for _, fd := range info.Funcs {

@@ -314,7 +314,9 @@ func unescape(c byte) byte {
 
 // All scans the entire input and returns all tokens up to and including EOF.
 func (l *Lexer) All() []token.Token {
-	var toks []token.Token
+	// Presized for about one token per four bytes of source, which covers
+	// typical code without regrowing.
+	toks := make([]token.Token, 0, len(l.src)/4+1)
 	for {
 		t := l.Next()
 		toks = append(toks, t)

@@ -15,7 +15,7 @@ package parser
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"mtpa/internal/ast"
 	"mtpa/internal/token"
@@ -113,11 +113,21 @@ func SegmentTokens(toks []token.Token) (segs []Segment, ok bool) {
 // line shifts but sensitive to any token or intra-segment layout change
 // (positions appear in diagnostics and analysis output).
 func hashSegment(toks []token.Token, anchor int) string {
-	h := sha256.New()
+	// One line per token, "kind\x00lit\x00line:col\n" with the line
+	// relative to the anchor, hashed in one write.
+	buf := make([]byte, 0, 16*len(toks))
 	for _, t := range toks {
-		fmt.Fprintf(h, "%d\x00%s\x00%d:%d\n", int(t.Kind), t.Lit, t.Pos.Line-anchor, t.Pos.Col)
+		buf = strconv.AppendInt(buf, int64(t.Kind), 10)
+		buf = append(buf, 0)
+		buf = append(buf, t.Lit...)
+		buf = append(buf, 0)
+		buf = strconv.AppendInt(buf, int64(t.Pos.Line-anchor), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(t.Pos.Col), 10)
+		buf = append(buf, '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:16])
 }
 
 // ParseDecl parses one segment's tokens as top-level declarations into

@@ -9,15 +9,83 @@ import (
 )
 
 // The differential interpreter: a byte program drives the same operation
-// sequence through the hash-consed COW representation and the preserved
-// map-based reference, cross-checking results (including the change-reported
-// booleans) after every step. Used both as a deterministic random test and
-// as the corpus format for FuzzGraphOpsDifferential.
+// sequence through the sorted-slice copy-on-write representation and the
+// preserved map-based reference, cross-checking results (including the
+// change-reported booleans) after every step. After every step it also
+// checks aliasing: no pool graph other than the one the step mutated may
+// have changed its edges or hash, which is how a copy-on-write slice
+// shared by clones would show a missed copy. Used both as a deterministic
+// random test and as the corpus format for FuzzGraphOpsDifferential.
 
 type diffState struct {
 	gs   []*Graph
 	refs []*mapref.Graph
+	b    GraphBuilder // reused across builds, exercising Reset
 }
+
+// snapshot records every pool graph's edges and hash before a step.
+type snapshot struct {
+	edges [][]Edge
+	hash  []uint64
+}
+
+func (st *diffState) snapshot() snapshot {
+	var sn snapshot
+	for _, g := range st.gs {
+		sn.edges = append(sn.edges, g.Edges())
+		sn.hash = append(sn.hash, g.Hash())
+	}
+	return sn
+}
+
+// checkAliasing fails if any graph of the snapshot other than mutated
+// (-1 for a read-only step) changed.
+func (st *diffState) checkAliasing(t *testing.T, op string, sn snapshot, mutated int) {
+	t.Helper()
+	for i, before := range sn.edges {
+		if i == mutated {
+			continue
+		}
+		g := st.gs[i]
+		after := g.Edges()
+		same := len(after) == len(before) && g.Hash() == sn.hash[i]
+		for j := 0; same && j < len(after); j++ {
+			same = after[j] == before[j]
+		}
+		if !same {
+			t.Fatalf("after %s on graph %d: graph %d changed from %v to %v", op, mutated, i, before, after)
+		}
+	}
+}
+
+// refUnionPath is the reference path-union: the edge union plus an edge
+// to unk for every source with edges in src but none in dst and, with
+// own, for every source with edges in dst but none in src.
+func refUnionPath(dst, src *mapref.Graph, own bool) bool {
+	var needUnk []locset.ID
+	for _, s := range src.Sources() {
+		if dst.OutDegree(s) == 0 {
+			needUnk = append(needUnk, s)
+		}
+	}
+	if own {
+		for _, s := range dst.Sources() {
+			if src.OutDegree(s) == 0 {
+				needUnk = append(needUnk, s)
+			}
+		}
+	}
+	changed := dst.Union(src)
+	for _, s := range needUnk {
+		if dst.Add(s, locset.UnkID) {
+			changed = true
+		}
+	}
+	return changed
+}
+
+var diffOpNames = [...]string{"Add", "AddSet", "ReplaceSucc", "Kill", "KillEdges", "Union",
+	"Clone", "Deref", "Intersect", "Map", "KillSrc", "UnionPath", "UnionPath(own)", "CloneShared/Build"}
 
 func (st *diffState) check(t *testing.T, op string) {
 	t.Helper()
@@ -53,7 +121,9 @@ func runDiffProgram(t *testing.T, data []byte) {
 		op, a, b, c := data[i], data[i+1], data[i+2], data[i+3]
 		gi := pick(c)
 		g, ref := st.gs[gi], st.refs[gi]
-		switch op % 11 {
+		sn := st.snapshot()
+		mutated := gi
+		switch op % 14 {
 		case 0: // Add
 			ch1 := g.Add(id(a), id(b))
 			ch2 := ref.Add(id(a), id(b))
@@ -106,12 +176,14 @@ func runDiffProgram(t *testing.T, data []byte) {
 			}
 			st.check(t, "Union")
 		case 6: // Clone (bounded pool)
+			mutated = -1
 			if len(st.gs) < 8 {
 				st.gs = append(st.gs, g.Clone())
 				st.refs = append(st.refs, ref.Clone())
 			}
 			st.check(t, "Clone")
 		case 7: // Deref
+			mutated = -1
 			srcs := NewSet(id(a), id(b))
 			d1 := g.Deref(srcs)
 			d2 := ref.Deref(refSet(srcs))
@@ -119,11 +191,18 @@ func runDiffProgram(t *testing.T, data []byte) {
 				t.Fatalf("Deref(%v) = %v, reference %v", srcs.IDs(), d1.Sorted(), d2.Sorted())
 			}
 		case 8: // Intersect / Contains / Equal cross-checks
+			mutated = -1
 			oi := pick(a)
 			i1 := Intersect(g, st.gs[oi])
 			i2 := mapref.Intersect(ref, st.refs[oi])
 			if i1.Len() != i2.Len() {
 				t.Fatalf("Intersect has %d edges, reference %d", i1.Len(), i2.Len())
+			}
+			ie, re := i1.Edges(), i2.Edges()
+			for j := range ie {
+				if ie[j].Src != re[j].Src || ie[j].Dst != re[j].Dst {
+					t.Fatalf("Intersect edge %d = %v, reference %v", j, ie[j], re[j])
+				}
 			}
 			if g.Equal(st.gs[oi]) != ref.Equal(st.refs[oi]) {
 				t.Fatalf("Equal disagrees with reference")
@@ -132,6 +211,7 @@ func runDiffProgram(t *testing.T, data []byte) {
 				t.Fatalf("Contains disagrees with reference")
 			}
 		case 9: // Map (collapse one ID to unk, shift another)
+			mutated = -1
 			f := func(x locset.ID) locset.ID {
 				if x == id(a) {
 					return locset.UnkID
@@ -159,7 +239,45 @@ func runDiffProgram(t *testing.T, data []byte) {
 				t.Fatalf("KillSrc(%d) changed=%v, reference=%v", id(a), ch1, ch2)
 			}
 			st.check(t, "KillSrc")
+		case 11, 12: // UnionPath with a pool graph, completing one side or both
+			own := op%14 == 12
+			oi := pick(a)
+			ch1 := g.UnionPath(st.gs[oi], own)
+			ch2 := refUnionPath(ref, st.refs[oi], own)
+			if ch1 != ch2 {
+				t.Fatalf("UnionPath(own=%v) changed=%v, reference=%v", own, ch1, ch2)
+			}
+			st.check(t, "UnionPath")
+		case 13: // Freeze + CloneShared, or a GraphBuilder build, into the pool
+			mutated = -1
+			if len(st.gs) >= 8 {
+				break
+			}
+			if a%2 == 0 {
+				st.gs = append(st.gs, g.Freeze().CloneShared())
+				st.refs = append(st.refs, ref.Clone())
+				st.check(t, "CloneShared")
+				break
+			}
+			bref := mapref.New()
+			for k := 0; k < int(b%8); k++ {
+				s, d := id(a+byte(3*k)), id(c+byte(k*k))
+				st.b.Add(s, d)
+				bref.Add(s, d)
+			}
+			st.b.AddSet(id(b), NewSet(id(c), id(a)))
+			bref.Add(id(b), id(c))
+			bref.Add(id(b), id(a))
+			if a%3 == 0 {
+				// A discarded build: Reset must drop it entirely.
+				st.b.Reset()
+				bref = mapref.New()
+			}
+			st.gs = append(st.gs, st.b.Build())
+			st.refs = append(st.refs, bref)
+			st.check(t, "Build")
 		}
+		st.checkAliasing(t, diffOpNames[op%14], sn, mutated)
 	}
 	st.check(t, "final")
 	// Full hash re-verification on every surviving graph.

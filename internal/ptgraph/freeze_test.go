@@ -56,11 +56,11 @@ func TestFrozenGraphConcurrentCloneAndRead(t *testing.T) {
 					t.Errorf("CloneShared len %d, want %d", cs.Len(), wantLen)
 					return
 				}
-				// Concurrent reads of the shared map.
+				// Concurrent reads of the shared entry slice.
 				_ = g.Sources()
 				_ = g.Format(tab)
 				g.ForEach(func(src locset.ID, dsts Set) {})
-				// Mutating the clone copies the map first and must not
+				// Mutating the clone copies the entry slice first and must not
 				// disturb the frozen original or the other readers.
 				if i%2 == 0 {
 					c.Add(locset.UnkID, locset.UnkID)

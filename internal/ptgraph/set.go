@@ -8,7 +8,7 @@
 package ptgraph
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"mtpa/internal/locset"
@@ -56,10 +56,14 @@ type setShard struct {
 
 var setTable [setShards]*setShard
 
+// unkSet is the canonical {unk} set.
+var unkSet Set
+
 func init() {
 	for i := range setTable {
 		setTable[i] = &setShard{m: map[uint64][]*setData{}}
 	}
+	unkSet = intern([]locset.ID{locset.UnkID})
 }
 
 func equalIDs(a, b []locset.ID) bool {
@@ -111,16 +115,9 @@ func NewSet(ids ...locset.ID) Set {
 	case 1:
 		return intern(ids)
 	}
-	sorted := append([]locset.ID(nil), ids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	w := 1
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] != sorted[i-1] {
-			sorted[w] = sorted[i]
-			w++
-		}
-	}
-	return intern(sorted[:w])
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	return intern(slices.Compact(sorted))
 }
 
 // Len returns the number of elements.
@@ -150,9 +147,8 @@ func (s Set) Has(id locset.ID) bool {
 	if s.d == nil {
 		return false
 	}
-	ids := s.d.ids
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	return i < len(ids) && ids[i] == id
+	_, found := slices.BinarySearch(s.d.ids, id)
+	return found
 }
 
 // IDs returns the sorted elements. The slice is shared canonical storage:
@@ -178,8 +174,8 @@ func (s Set) With(id locset.ID) Set {
 		return intern([]locset.ID{id})
 	}
 	ids := s.d.ids
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
+	i, found := slices.BinarySearch(ids, id)
+	if found {
 		return s
 	}
 	merged := make([]locset.ID, 0, len(ids)+1)
@@ -332,15 +328,8 @@ func (b *SetBuilder) Build() Set {
 	if len(b.ids) == 0 {
 		return Set{}
 	}
-	sort.Slice(b.ids, func(i, j int) bool { return b.ids[i] < b.ids[j] })
-	w := 1
-	for i := 1; i < len(b.ids); i++ {
-		if b.ids[i] != b.ids[i-1] {
-			b.ids[w] = b.ids[i]
-			w++
-		}
-	}
-	s := intern(b.ids[:w])
+	slices.Sort(b.ids)
+	s := intern(slices.Compact(b.ids))
 	b.ids = b.ids[:0]
 	return s
 }
@@ -358,11 +347,4 @@ func InternedSetCount() int {
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -91,7 +91,7 @@ func ResetDivergences() {
 
 // checkSrc verifies that src's successor set matches the reference.
 func (g *Graph) checkSrc(op string, src locset.ID) {
-	got := g.succ[src].IDs()
+	got := g.succ(src).IDs()
 	want := g.shadow.Succs(src).Sorted()
 	if len(got) != len(want) {
 		recordDivergence(op, src, "graph has %v, reference has %v", got, want)
@@ -106,8 +106,8 @@ func (g *Graph) checkSrc(op string, src locset.ID) {
 }
 
 func (g *Graph) checkCount(op string) {
-	if g.count != g.shadow.Len() {
-		recordDivergence(op, -1, "%d edges, reference has %d", g.count, g.shadow.Len())
+	if g.Len() != g.shadow.Len() {
+		recordDivergence(op, -1, "%d edges, reference has %d", g.Len(), g.shadow.Len())
 	}
 }
 
@@ -125,13 +125,16 @@ func (g *Graph) VerifyShadow() {
 // plus a from-scratch recomputation of the incremental hash.
 func (g *Graph) shadowCheck(op string) {
 	g.checkCount(op)
-	if len(g.succ) != len(g.shadow.Sources()) {
-		recordDivergence(op, -1, "%d sources, reference has %d", len(g.succ), len(g.shadow.Sources()))
+	if len(g.es) != len(g.shadow.Sources()) {
+		recordDivergence(op, -1, "%d sources, reference has %d", len(g.es), len(g.shadow.Sources()))
 	}
 	var h uint64
-	for src, dsts := range g.succ {
-		g.checkSrc(op, src)
-		h ^= contrib(src, dsts)
+	for i, e := range g.es {
+		if i > 0 && g.es[i-1].src >= e.src {
+			recordDivergence(op, e.src, "entry %d out of order after source %d", i, g.es[i-1].src)
+		}
+		g.checkSrc(op, e.src)
+		h ^= contrib(e.src, e.dsts)
 	}
 	if h != g.hash {
 		recordDivergence(op, -1, "incremental hash %x, recomputed %x", g.hash, h)
@@ -154,6 +157,17 @@ func (g *Graph) shadowAddSet(src locset.ID, dsts Set) {
 	g.checkCount("AddSet")
 }
 
+// shadowFill mirrors a graph built directly from entries into its
+// (empty) reference.
+func (g *Graph) shadowFill(op string) {
+	for _, e := range g.es {
+		for _, d := range e.dsts.IDs() {
+			g.shadow.Add(e.src, d)
+		}
+	}
+	g.shadowCheck(op)
+}
+
 func (g *Graph) shadowReplace(src locset.ID, dsts Set) {
 	g.shadow.Kill(mapref.NewSet(src))
 	for _, d := range dsts.IDs() {
@@ -163,20 +177,54 @@ func (g *Graph) shadowReplace(src locset.ID, dsts Set) {
 	g.checkCount("ReplaceSucc")
 }
 
-func (g *Graph) shadowKillSrc(src locset.ID) {
-	if !g.shadow.Kill(mapref.NewSet(src)) {
-		recordDivergence("KillSrc", src, "KillSrc(%d) changed the graph but not the reference", src)
+func (g *Graph) shadowKill(srcs []locset.ID) {
+	g.shadow.Kill(mapref.NewSet(srcs...))
+	for _, src := range srcs {
+		g.checkSrc("Kill", src)
 	}
-	g.checkSrc("KillSrc", src)
-	g.checkCount("KillSrc")
+	g.checkCount("Kill")
 }
 
-func (g *Graph) shadowKillEdges(src locset.ID, ks Set) {
+func (g *Graph) shadowKillEdges(kill *Graph) {
 	rm := mapref.New()
-	for _, d := range ks.IDs() {
-		rm.Add(src, d)
+	for _, e := range kill.es {
+		for _, d := range e.dsts.IDs() {
+			rm.Add(e.src, d)
+		}
 	}
 	g.shadow.KillEdges(rm)
-	g.checkSrc("KillEdges", src)
+	for _, e := range kill.es {
+		g.checkSrc("KillEdges", e.src)
+	}
 	g.checkCount("KillEdges")
+}
+
+// shadowMerge mirrors Union/UnionPath: the reference computes the
+// unk-completion from its own pre-merge state, then the whole graph is
+// compared.
+func (g *Graph) shadowMerge(other *Graph, fillOwn, fillOther bool) {
+	var needUnk []locset.ID
+	if fillOther {
+		for _, e := range other.es {
+			if g.shadow.OutDegree(e.src) == 0 {
+				needUnk = append(needUnk, e.src)
+			}
+		}
+	}
+	if fillOwn {
+		for _, src := range g.shadow.Sources() {
+			if other.OutDegree(src) == 0 {
+				needUnk = append(needUnk, src)
+			}
+		}
+	}
+	for _, e := range other.es {
+		for _, d := range e.dsts.IDs() {
+			g.shadow.Add(e.src, d)
+		}
+	}
+	for _, src := range needUnk {
+		g.shadow.Add(src, locset.UnkID)
+	}
+	g.shadowCheck("Union")
 }

@@ -27,8 +27,8 @@ package session
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mtpa/internal/core"
@@ -61,8 +61,9 @@ type segKey struct {
 // computeDeps returns the per-procedure dependency hashes.
 func computeDeps(in *depInput) map[string]string {
 	bases := map[string]string{}
+	footprints := core.BlockFootprints(in.irProg)
 	for _, fn := range in.irProg.Funcs {
-		bases[fn.Name] = baseHash(in, fn)
+		bases[fn.Name] = baseHash(in, fn, footprints[fn.Name])
 	}
 
 	callees := callGraph(in.irProg)
@@ -74,33 +75,39 @@ func computeDeps(in *depInput) map[string]string {
 			names = append(names, q)
 		}
 		sort.Strings(names)
-		h := sha256.New()
-		fmt.Fprintf(h, "self\x00%s\n", bases[fn.Name])
+		buf := append(append([]byte("self\x00"), bases[fn.Name]...), '\n')
 		for _, q := range names {
-			fmt.Fprintf(h, "callee\x00%s\x00%s\n", q, bases[q])
+			buf = append(append(append(append(append(buf, "callee\x00"...), q...), 0), bases[q]...), '\n')
 		}
-		deps[fn.Name] = hex.EncodeToString(h.Sum(nil)[:16])
+		deps[fn.Name] = hashHex(buf)
 	}
 	return deps
 }
 
 // baseHash folds one procedure's own dependencies (everything except its
-// callees).
-func baseHash(in *depInput, fn *ir.Func) string {
-	h := sha256.New()
+// callees); footprint is fn's core.BlockFootprints entry.
+func baseHash(in *depInput, fn *ir.Func, footprint []string) string {
 	seg := in.procSegs[fn.Name]
-	fmt.Fprintf(h, "proc\x00%s\x00%d\n", seg.hash, seg.anchor)
-	fmt.Fprintf(h, "env\x00%s\n", in.envHash)
-	for _, key := range core.BlockFootprint(in.irProg, fn) {
-		fmt.Fprintf(h, "ref\x00%s\n", key)
+	buf := append([]byte("proc\x00"), seg.hash...)
+	buf = append(strconv.AppendInt(append(buf, 0), int64(seg.anchor), 10), '\n')
+	buf = append(append(append(buf, "env\x00"...), in.envHash...), '\n')
+	for _, key := range footprint {
+		buf = append(append(append(buf, "ref\x00"...), key...), '\n')
 		if name, ok := globalKeyName(key); ok {
-			fmt.Fprintf(h, "refseg\x00%s\x00%s\n", name, in.globalSegs[name])
+			buf = append(append(append(buf, "refseg\x00"...), name...), 0)
+			buf = append(append(buf, in.globalSegs[name]...), '\n')
 		}
 	}
 	if fn == in.irProg.Main {
-		fmt.Fprintf(h, "inits\x00%s\n", in.allGlobalsHash)
+		buf = append(append(append(buf, "inits\x00"...), in.allGlobalsHash...), '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	return hashHex(buf)
+}
+
+// hashHex returns the first 16 bytes of data's SHA-256 in hex.
+func hashHex(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:16])
 }
 
 // globalKeyName extracts the variable name from a canonical global or

@@ -275,9 +275,10 @@ func (s *Session) StageUpdate(filename, src string) (*Staged, error) {
 		st.stats.SeederDisabled = true
 	default:
 		st.seeder = &storeSeeder{
-			store:  s.store,
-			prefix: "sum|" + filename + "|" + s.optsKey + "|",
-			deps:   deps,
+			store:   s.store,
+			prefix:  "sum|" + filename + "|" + s.optsKey + "|",
+			deps:    deps,
+			visible: published.Load(),
 		}
 	}
 	return st, nil
@@ -306,14 +307,7 @@ func (s *Session) RunStaged(ctx context.Context, st *Staged, fi *ptgraph.Graph) 
 	}
 	stats.Seed = res.SeedStats()
 
-	for _, sm := range res.ExportSummaries() {
-		dh, ok := st.deps[sm.Fn]
-		if !ok {
-			continue
-		}
-		s.store.Put("sum|"+st.comp.File+"|"+s.optsKey+"|"+sm.Key, &storedSum{sum: sm, fn: sm.Fn, depHash: dh})
-		stats.SummariesStored++
-	}
+	stats.SummariesStored = s.publish(st, res.ExportSummaries())
 	// The tier-0 answer is computed (or reused from the tiered staging)
 	// before the run is published: after the Put, the compiled program and
 	// its location-set table may be read concurrently by other sessions
@@ -623,44 +617,95 @@ func usesMemcpy(irProg *ir.Program) bool {
 // ---------------------------------------------------------------------------
 // The summary seeder
 
-// storedSum is one retained context summary with its validity stamp.
+// storedSum is one retained context summary with its validity stamp and
+// the epoch of the run that published it.
 type storedSum struct {
 	sum     *core.Summary
 	fn      string
 	depHash string
+	epoch   uint64
+}
+
+// Summary publication. Each run publishes its summaries as one unit:
+// publications are serialised (the loop of Puts, not the runs), each is
+// stamped with the next epoch, and the epoch counts as published once
+// every Put has landed. A run reads the published epoch once, when it is
+// staged, and seeds only from summaries stamped at or below it: it never
+// mixes in part of a run that is still publishing, and a newer summary is
+// a miss. With the seeder keeping its first answer for each key, every
+// set of summaries a run seeds from is one that publishing the same runs
+// one after another would leave in the store. (Misses are safe because
+// the engine takes a summary only when its whole callee closure is
+// available; see core.Seeder.)
+var (
+	publishMu sync.Mutex    // held for one run's whole loop of Puts
+	published atomic.Uint64 // the newest fully published epoch
+)
+
+// publish stores one run's exported summaries as the next epoch and
+// returns how many it stored.
+func (s *Session) publish(st *Staged, sums []*core.Summary) int {
+	publishMu.Lock()
+	defer publishMu.Unlock()
+	epoch := published.Load() + 1
+	n := 0
+	for _, sm := range sums {
+		dh, ok := st.deps[sm.Fn]
+		if !ok {
+			continue
+		}
+		s.store.Put("sum|"+st.comp.File+"|"+s.optsKey+"|"+sm.Key,
+			&storedSum{sum: sm, fn: sm.Fn, depHash: dh, epoch: epoch})
+		n++
+	}
+	published.Store(epoch)
+	return n
 }
 
 // storeSeeder adapts the artifact store to core.Seeder for one update:
 // a stored summary is served only while its procedure's dependency hash
-// matches the current program's.
+// matches the current program's, and only if it was published by the
+// time the update was staged. The first answer for each key is kept for
+// the whole run, so the engine's closure check (core.Seeder) and its
+// later demands see the same summaries even while other runs publish.
 type storeSeeder struct {
-	store  Artifacts
-	prefix string
-	deps   map[string]string
+	store   Artifacts
+	prefix  string
+	deps    map[string]string
+	visible uint64
+	seen    map[string]*storedSum
 }
 
 func (s *storeSeeder) Lookup(fn, key string) *core.Summary {
-	v, ok := s.store.Get(s.prefix + key)
-	if !ok {
-		return nil
+	if e := s.lookup(key); e != nil && e.fn == fn {
+		return e.sum
 	}
-	e := v.(*storedSum)
-	if e.fn != fn || e.depHash == "" || e.depHash != s.deps[fn] {
-		return nil
-	}
-	return e.sum
+	return nil
 }
 
 func (s *storeSeeder) LookupKey(key string) *core.Summary {
-	v, ok := s.store.Get(s.prefix + key)
-	if !ok {
-		return nil
+	if e := s.lookup(key); e != nil {
+		return e.sum
 	}
-	e := v.(*storedSum)
-	if e.depHash == "" || e.depHash != s.deps[e.fn] {
-		return nil
+	return nil
+}
+
+func (s *storeSeeder) lookup(key string) *storedSum {
+	if e, ok := s.seen[key]; ok {
+		return e
 	}
-	return e.sum
+	var e *storedSum
+	if v, ok := s.store.Get(s.prefix + key); ok {
+		e = v.(*storedSum)
+		if e.epoch > s.visible || e.depHash == "" || e.depHash != s.deps[e.fn] {
+			e = nil
+		}
+	}
+	if s.seen == nil {
+		s.seen = map[string]*storedSum{}
+	}
+	s.seen[key] = e
+	return e
 }
 
 // ---------------------------------------------------------------------------

@@ -173,3 +173,57 @@ func TestSessionConcurrentUpdateAndQuery(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSharedStoreConcurrentSameFile has two sessions over one store
+// update different versions of the same file at the same time: each
+// walks the program's per-procedure edits, one forwards and one
+// backwards, so their runs keep publishing summaries for the same file
+// while the other is seeding from them. Every result must match the cold
+// fingerprint of its exact source.
+func TestSharedStoreConcurrentSameFile(t *testing.T) {
+	for _, name := range []string{"mol", "space"} {
+		t.Run(name, func(t *testing.T) {
+			p, err := bench.Load(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			file := name + ".clk"
+			opts := mtpa.Options{Mode: mtpa.Multithreaded}
+			edits := procEdits(t, file, p.Source)
+			cold := make(map[string]string, len(edits)+1)
+			for _, src := range append([]string{p.Source}, edits...) {
+				cold[src] = coldFingerprint(t, file, src, opts)
+			}
+			backward := make([]string, len(edits))
+			for i, src := range edits {
+				backward[len(edits)-1-i] = src
+			}
+
+			store := mtpa.NewSharedStore(0)
+			var wg sync.WaitGroup
+			for si, order := range [][]string{edits, backward} {
+				wg.Add(1)
+				go func(si int, order []string) {
+					defer wg.Done()
+					sess := mtpa.NewSessionWithStore(opts, store)
+					if _, err := sess.Update(file, p.Source); err != nil {
+						t.Errorf("session %d: base: %v", si, err)
+						return
+					}
+					for vi, src := range order {
+						up, err := sess.Update(file, src)
+						if err != nil {
+							t.Errorf("session %d variant %d: %v", si, vi, err)
+							return
+						}
+						if got := up.Result.Fingerprint(); got != cold[src] {
+							t.Errorf("session %d variant %d: fingerprint %s, want cold %s",
+								si, vi, got, cold[src])
+						}
+					}
+				}(si, order)
+			}
+			wg.Wait()
+		})
+	}
+}
